@@ -770,39 +770,6 @@ fn main() {
         sock.batch_qps
     );
 
-    // Shard sweep (printed only): direct index search latency by shard
-    // count, measured in palindromic order 1/2/4/4/2/1 with each index
-    // built once and both segments pooled, so drift balances across the
-    // sweep. The scoped-thread fan-out needs real cores to win — on a
-    // single-CPU host expect parity-to-slower, not a speedup.
-    let mut shard_sweep: Vec<(usize, v2v_serve::HnswIndex, Vec<f64>)> = [1usize, 2, 4]
-        .iter()
-        .map(|&shards| {
-            let cfg = HnswConfig { shards, ..Default::default() };
-            (shards, v2v_serve::HnswIndex::build(dim, data.clone(), cfg), Vec::new())
-        })
-        .collect();
-    let shard_queries = 1000.min(n);
-    for &slot in &[0usize, 1, 2, 2, 1, 0] {
-        let (_, idx, lat) = &mut shard_sweep[slot];
-        for q in 0..shard_queries {
-            let qv = &data[(q % n) * dim..(q % n + 1) * dim];
-            let t0 = Instant::now();
-            let r = idx.search(qv, k);
-            lat.push(t0.elapsed().as_secs_f64() * 1e3);
-            assert!(!r.is_empty(), "shard sweep returned nothing");
-        }
-    }
-    for (shards, _, mut lat) in shard_sweep {
-        lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        println!(
-            "shard sweep (pooled 1/2/4/4/2/1): {shards} shard(s) -> \
-             search p50 {:.4} ms, p99 {:.4} ms",
-            percentile(&lat, 0.50),
-            percentile(&lat, 0.99)
-        );
-    }
-
     // Quantized candidate scoring, measured ABBA against the f32 path:
     // the identical /neighbors op runs f32 (A), int8 (B), int8 (B),
     // f32 (A) with each condition's two segments pooled, so the two

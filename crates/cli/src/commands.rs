@@ -221,10 +221,6 @@ pub fn index(opts: &Opts) -> Result<(), String> {
     let config = v2v_serve::HnswConfig {
         m: opts.get("m", 16usize)?,
         ef_construction: opts.get("ef-construction", 200usize)?,
-        // Must match the serving config: the shard count is folded into
-        // the snapshot fingerprint, so an off-by-one here costs a rebuild
-        // at startup, never a wrong answer.
-        shards: opt_env(opts, "index-shards", "V2V_INDEX_SHARDS", 1usize)?,
         ..Default::default()
     };
     let dims = store.dims();
@@ -577,7 +573,6 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
             "V2V_QUANTIZE",
             "off".to_string(),
         )?)?,
-        shards: opt_env(opts, "index-shards", "V2V_INDEX_SHARDS", 1usize)?,
         ..Default::default()
     };
     v2v_serve::set_batch_max(opt_env(opts, "batch-max", "V2V_BATCH_MAX", 64usize)?.max(1));
@@ -604,12 +599,11 @@ pub fn serve(opts: &Opts) -> Result<(), String> {
     });
     let initial = build()?;
     obs_info!(
-        "indexed {} vectors x {} dims (ef_search = {}, quantize {}, {} shard(s), index {}, backing {}) in {:.2?}{}",
+        "indexed {} vectors x {} dims (ef_search = {}, quantize {}, index {}, backing {}) in {:.2?}{}",
         initial.vectors().len(),
         initial.vectors().dimensions(),
         initial.index().config().ef_search,
         initial.index().config().quantize.name(),
-        initial.index().shard_count(),
         initial.index_source(),
         initial.vectors().source(),
         initial.index().build_time(),

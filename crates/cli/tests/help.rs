@@ -124,9 +124,8 @@ fn help_documents_quality_surface() {
 }
 
 /// The serving fast-path surface: keep-alive connection reuse, the
-/// `/batch` endpoint, quantized candidate scoring, and sharded parallel
-/// search — the four knobs and their env fallbacks must be discoverable
-/// from `v2v help`.
+/// `/batch` endpoint, and quantized candidate scoring — the three knobs
+/// and their env fallbacks must be discoverable from `v2v help`.
 #[test]
 fn help_documents_serving_fast_path() {
     let help = help_output();
@@ -134,13 +133,11 @@ fn help_documents_serving_fast_path() {
         "--keep-alive",
         "--batch-max",
         "--quantize",
-        "--index-shards",
         "V2V_KEEP_ALIVE",
         "V2V_BATCH_MAX",
         "V2V_QUANTIZE",
-        "V2V_INDEX_SHARDS",
         "/batch",
-        "off|int8|f16",
+        "off|int8",
         "pipelining",
         "serve.conn.reused",
         "serve.quantize.",

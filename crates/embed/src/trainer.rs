@@ -620,7 +620,7 @@ fn run_epoch_parallel<S: WalkSource + ?Sized>(
             .map(|w| {
                 let lo = (w * chunk).min(num_walks);
                 let hi = ((w + 1) * chunk).min(num_walks);
-                s.spawn(move || {
+                s.spawn(v2v_fault::inherit(move || {
                     let slot = workers.slot(w);
                     let counters = ThreadCounters::open();
                     counters.start();
@@ -640,7 +640,7 @@ fn run_epoch_parallel<S: WalkSource + ?Sized>(
                     }
                     set_phase(Phase::BarrierWait);
                     (loss, pairs, Instant::now())
-                })
+                }))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("training worker panicked")).collect()
@@ -1189,12 +1189,7 @@ mod checkpoint_tests {
     use super::*;
     use crate::checkpoint::path_in;
     use std::path::PathBuf;
-    use std::sync::Mutex;
     use v2v_fault::{Fault, FaultPlan};
-
-    /// Fault points are process-global; tests that arm one hold this so
-    /// they cannot see each other's plans.
-    static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("v2v_ckpt_{}_{name}", std::process::id()));
@@ -1227,16 +1222,15 @@ mod checkpoint_tests {
     /// the exact bits an uninterrupted run produces.
     #[test]
     fn resume_after_interrupted_run_is_bit_identical() {
-        let _guard = FAULT_LOCK.lock().unwrap();
         let corpus = small_corpus(31);
         let cfg = EmbedConfig { epochs: 6, ..quick_config() };
         let (full, full_stats) = train(&corpus, &cfg).unwrap();
 
         let dir = scratch("resume");
         let opts = CheckpointOptions::new(dir.clone());
-        v2v_fault::arm("train.checkpoint", FaultPlan::nth(3, Fault::Error));
+        let armed = v2v_fault::arm("train.checkpoint", FaultPlan::nth(3, Fault::Error));
         let err = train_with_checkpoints(&corpus, &cfg, Some(&opts)).unwrap_err();
-        v2v_fault::inject::disarm("train.checkpoint");
+        drop(armed);
         assert!(err.contains("injected fault"), "{err}");
         let on_disk = TrainCheckpoint::load(&path_in(&dir)).unwrap();
         assert_eq!(on_disk.next_epoch, 3, "last durable checkpoint is epoch 3");

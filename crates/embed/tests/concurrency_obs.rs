@@ -9,15 +9,10 @@
 //! degradation path on *any* machine, including ones where the syscall
 //! happens to work.
 
-use std::sync::Mutex;
 use v2v_embed::{train, EmbedConfig};
 use v2v_fault::{Fault, FaultPlan};
 use v2v_graph::{GraphBuilder, VertexId};
 use v2v_walks::{WalkConfig, WalkCorpus};
-
-/// Fault points are process-global; tests that arm one hold this so they
-/// cannot see each other's plans.
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 fn corpus(seed: u64) -> WalkCorpus {
     let mut b = GraphBuilder::new_undirected();
@@ -39,11 +34,10 @@ fn corpus(seed: u64) -> WalkCorpus {
 /// per-thread pair accounting is still exact.
 #[test]
 fn perf_denial_degrades_without_panicking() {
-    let _guard = FAULT_LOCK.lock().unwrap();
-    v2v_fault::arm("obs.perf_open", FaultPlan::always(Fault::Error));
+    let armed = v2v_fault::arm("obs.perf_open", FaultPlan::always(Fault::Error));
     let cfg = EmbedConfig { dimensions: 12, epochs: 2, threads: 2, ..Default::default() };
     let result = train(&corpus(41), &cfg);
-    v2v_fault::inject::disarm("obs.perf_open");
+    drop(armed);
 
     let (emb, stats) = result.expect("training must survive perf denial");
     assert!(emb.as_flat().iter().all(|x| x.is_finite()));
@@ -69,11 +63,10 @@ fn perf_denial_degrades_without_panicking() {
 /// fail): still no panic, and the report stays internally consistent.
 #[test]
 fn mid_run_perf_failure_is_tolerated() {
-    let _guard = FAULT_LOCK.lock().unwrap();
-    v2v_fault::arm("obs.perf_open", FaultPlan::nth(2, Fault::Error));
+    let armed = v2v_fault::arm("obs.perf_open", FaultPlan::nth(2, Fault::Error));
     let cfg = EmbedConfig { dimensions: 12, epochs: 3, threads: 2, ..Default::default() };
     let result = train(&corpus(42), &cfg);
-    v2v_fault::inject::disarm_all();
+    drop(armed);
 
     let (_, stats) = result.expect("training must survive a mid-run perf failure");
     let report = &stats.concurrency;
@@ -86,11 +79,10 @@ fn mid_run_perf_failure_is_tolerated() {
 /// The same degradation contract on the sequential (threads=1) path.
 #[test]
 fn sequential_path_also_degrades_gracefully() {
-    let _guard = FAULT_LOCK.lock().unwrap();
-    v2v_fault::arm("obs.perf_open", FaultPlan::always(Fault::Error));
+    let armed = v2v_fault::arm("obs.perf_open", FaultPlan::always(Fault::Error));
     let cfg = EmbedConfig { dimensions: 12, epochs: 2, threads: 1, ..Default::default() };
     let result = train(&corpus(43), &cfg);
-    v2v_fault::inject::disarm("obs.perf_open");
+    drop(armed);
 
     let (_, stats) = result.expect("sequential training must survive perf denial");
     assert_eq!(stats.concurrency.threads, 1);

@@ -7,10 +7,19 @@
 //! exactly reproducible because triggering is hit-count based, never
 //! time or randomness based.
 //!
+//! Plans are scoped, so tests running in parallel in one process never
+//! see each other's faults. [`arm`] returns an [`Armed`] guard that
+//! disarms the plan when dropped, and a plan is seen only by the thread
+//! that armed it and by threads started through [`inherit`] from a thread
+//! that can see it. The workspace's own thread spawns go through
+//! [`inherit`], so a fault armed by a test reaches the worker threads the
+//! code under test starts on its behalf.
+//!
 //! Without the `inject` cargo feature the registry is a stub: [`check`]
-//! is a `const`-foldable `None` and the hot paths carry no atomics at
-//! all. Test targets turn the feature on through dev-dependencies, which
-//! cargo's feature unification extends to the libraries under test.
+//! is a `const`-foldable `None`, [`inherit`] adds nothing to the closure
+//! it wraps, and the hot paths carry no thread-locals or atomics at all. Test
+//! targets turn the feature on through dev-dependencies, which cargo's
+//! feature unification extends to the libraries under test.
 
 /// What an armed fault point does when it triggers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,50 +65,68 @@ pub fn to_io_error(point: &str) -> std::io::Error {
 #[cfg(any(test, feature = "inject"))]
 mod imp {
     use super::{Fault, FaultPlan};
-    use std::collections::HashMap;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::cell::Cell;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
-    struct Armed {
+    struct Plan {
+        scope: u64,
+        /// Identifies one `arm` call, so a stale guard cannot disarm a
+        /// later plan for the same point.
+        id: u64,
+        point: String,
         plan: FaultPlan,
         hits: u64,
     }
 
-    /// Fast path: a single relaxed load when nothing is armed, so leaving
-    /// the feature on in test builds does not distort timings.
-    static ANY_ARMED: AtomicBool = AtomicBool::new(false);
-    static REGISTRY: Mutex<Option<HashMap<String, Armed>>> = Mutex::new(None);
+    /// Source of scope and plan ids; 0 is never handed out.
+    static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+    static REGISTRY: Mutex<Vec<Plan>> = Mutex::new(Vec::new());
 
-    pub fn arm(point: &str, plan: FaultPlan) {
-        let mut guard = REGISTRY.lock().unwrap();
-        guard
-            .get_or_insert_with(HashMap::new)
-            .insert(point.to_string(), Armed { plan, hits: 0 });
-        ANY_ARMED.store(true, Ordering::SeqCst);
+    thread_local! {
+        /// The fault scope this thread sees (0 = none: `check` is a
+        /// single thread-local read).
+        static SCOPE: Cell<u64> = const { Cell::new(0) };
     }
 
-    pub fn disarm(point: &str) {
-        let mut guard = REGISTRY.lock().unwrap();
-        if let Some(map) = guard.as_mut() {
-            map.remove(point);
-            if map.is_empty() {
-                ANY_ARMED.store(false, Ordering::SeqCst);
-            }
+    fn registry() -> std::sync::MutexGuard<'static, Vec<Plan>> {
+        // A test that panics while holding the lock must not wedge the
+        // other tests in its process.
+        REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    pub fn current_scope() -> u64 {
+        SCOPE.with(Cell::get)
+    }
+
+    pub fn enter_scope(scope: u64) {
+        SCOPE.with(|s| s.set(scope));
+    }
+
+    pub fn arm(point: &str, plan: FaultPlan) -> u64 {
+        let mut scope = current_scope();
+        if scope == 0 {
+            scope = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+            enter_scope(scope);
         }
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+        let mut plans = registry();
+        plans.retain(|p| !(p.scope == scope && p.point == point));
+        plans.push(Plan { scope, id, point: point.to_string(), plan, hits: 0 });
+        id
     }
 
-    pub fn disarm_all() {
-        let mut guard = REGISTRY.lock().unwrap();
-        *guard = None;
-        ANY_ARMED.store(false, Ordering::SeqCst);
+    pub fn disarm(id: u64) {
+        registry().retain(|p| p.id != id);
     }
 
     pub fn check(point: &str) -> Option<Fault> {
-        if !ANY_ARMED.load(Ordering::Relaxed) {
+        let scope = current_scope();
+        if scope == 0 {
             return None;
         }
-        let mut guard = REGISTRY.lock().unwrap();
-        let armed = guard.as_mut()?.get_mut(point)?;
+        let mut plans = registry();
+        let armed = plans.iter_mut().find(|p| p.scope == scope && p.point == point)?;
         let hit = armed.hits;
         armed.hits += 1;
         if hit < armed.plan.after {
@@ -116,13 +143,19 @@ mod imp {
 mod imp {
     use super::{Fault, FaultPlan};
 
-    pub fn arm(_point: &str, _plan: FaultPlan) {
+    pub fn arm(_point: &str, _plan: FaultPlan) -> u64 {
         panic!("v2v-fault built without the `inject` feature; enable it in dev-dependencies");
     }
 
-    pub fn disarm(_point: &str) {}
+    pub fn disarm(_id: u64) {}
 
-    pub fn disarm_all() {}
+    #[inline(always)]
+    pub fn current_scope() -> u64 {
+        0
+    }
+
+    #[inline(always)]
+    pub fn enter_scope(_scope: u64) {}
 
     #[inline(always)]
     pub fn check(_point: &str) -> Option<Fault> {
@@ -130,25 +163,41 @@ mod imp {
     }
 }
 
-/// Arms `point` with `plan` (replacing any existing plan and resetting its
-/// hit count). Panics if the `inject` feature is off.
-pub fn arm(point: &str, plan: FaultPlan) {
-    imp::arm(point, plan)
+/// A live plan; dropping it disarms the plan.
+#[must_use = "the plan is disarmed as soon as the guard is dropped"]
+#[derive(Debug)]
+pub struct Armed {
+    id: u64,
 }
 
-/// Disarms one point.
-pub fn disarm(point: &str) {
-    imp::disarm(point)
+impl Drop for Armed {
+    fn drop(&mut self) {
+        imp::disarm(self.id);
+    }
 }
 
-/// Disarms every point — call from test setup/teardown; the registry is
-/// process-global, so tests sharing a process must not leave plans armed.
-pub fn disarm_all() {
-    imp::disarm_all()
+/// Arms `point` with `plan` for the calling thread's scope (replacing any
+/// plan the scope holds for `point`, hit count included) until the
+/// returned guard drops. A thread that has no scope yet gets a fresh one.
+/// Panics if the `inject` feature is off.
+pub fn arm(point: &str, plan: FaultPlan) -> Armed {
+    Armed { id: imp::arm(point, plan) }
+}
+
+/// Wraps a thread body so the new thread sees the fault plans of the
+/// thread that calls `inherit`: `thread::spawn(inherit(move || ...))`.
+#[inline]
+pub fn inherit<T>(f: impl FnOnce() -> T + Send) -> impl FnOnce() -> T + Send {
+    let scope = imp::current_scope();
+    move || {
+        imp::enter_scope(scope);
+        f()
+    }
 }
 
 /// Production-side hook: returns the fault to inject at `point`, if any,
-/// advancing the point's hit counter. `None` always when nothing is armed.
+/// advancing the point's hit counter. `None` always when nothing is armed
+/// in the calling thread's scope.
 #[inline]
 pub fn check(point: &str) -> Option<Fault> {
     imp::check(point)
@@ -171,9 +220,6 @@ pub fn apply(point: &str) -> std::io::Result<()> {
 mod tests {
     use super::*;
 
-    // The registry is process-global; each test uses unique point names so
-    // parallel test threads cannot interfere.
-
     #[test]
     fn unarmed_points_pass() {
         assert_eq!(check("inj.test.unarmed"), None);
@@ -181,43 +227,66 @@ mod tests {
     }
 
     #[test]
-    fn always_triggers_every_hit() {
-        arm("inj.test.always", FaultPlan::always(Fault::Error));
+    fn always_triggers_until_the_guard_drops() {
+        let armed = arm("inj.test.always", FaultPlan::always(Fault::Error));
         assert_eq!(check("inj.test.always"), Some(Fault::Error));
         assert_eq!(check("inj.test.always"), Some(Fault::Error));
-        disarm("inj.test.always");
+        drop(armed);
         assert_eq!(check("inj.test.always"), None);
     }
 
     #[test]
     fn nth_triggers_exactly_once() {
-        arm("inj.test.nth", FaultPlan::nth(2, Fault::ShortWrite(3)));
+        let _armed = arm("inj.test.nth", FaultPlan::nth(2, Fault::ShortWrite(3)));
         assert_eq!(check("inj.test.nth"), None);
         assert_eq!(check("inj.test.nth"), None);
         assert_eq!(check("inj.test.nth"), Some(Fault::ShortWrite(3)));
         assert_eq!(check("inj.test.nth"), None);
-        disarm("inj.test.nth");
     }
 
     #[test]
     fn apply_maps_error_and_delay() {
-        arm("inj.test.apply", FaultPlan::always(Fault::Error));
+        let armed = arm("inj.test.apply", FaultPlan::always(Fault::Error));
         let err = apply("inj.test.apply").unwrap_err();
         assert!(err.to_string().contains("inj.test.apply"));
-        disarm("inj.test.apply");
+        drop(armed);
 
-        arm("inj.test.delay", FaultPlan::always(Fault::DelayMs(1)));
+        let _armed = arm("inj.test.delay", FaultPlan::always(Fault::DelayMs(1)));
         assert!(apply("inj.test.delay").is_ok());
-        disarm("inj.test.delay");
     }
 
     #[test]
-    fn rearming_resets_hit_count() {
-        arm("inj.test.rearm", FaultPlan::nth(1, Fault::Error));
+    fn rearming_resets_hit_count_and_outlives_the_old_guard() {
+        let first = arm("inj.test.rearm", FaultPlan::nth(1, Fault::Error));
         assert_eq!(check("inj.test.rearm"), None);
-        arm("inj.test.rearm", FaultPlan::nth(1, Fault::Error));
+        let _second = arm("inj.test.rearm", FaultPlan::nth(1, Fault::Error));
+        drop(first);
         assert_eq!(check("inj.test.rearm"), None, "hit count must reset on re-arm");
-        assert_eq!(check("inj.test.rearm"), Some(Fault::Error));
-        disarm("inj.test.rearm");
+        assert_eq!(check("inj.test.rearm"), Some(Fault::Error), "old guard disarmed the new plan");
+    }
+
+    /// The same point armed on two threads at once: each sees only its
+    /// own plan, and a thread that armed nothing sees neither.
+    #[test]
+    fn plans_are_scoped_to_the_arming_thread() {
+        let _armed = arm("inj.test.scoped", FaultPlan::always(Fault::Error));
+        let other = std::thread::spawn(|| {
+            let unarmed = check("inj.test.scoped");
+            let _own = arm("inj.test.scoped", FaultPlan::always(Fault::DelayMs(1)));
+            (unarmed, check("inj.test.scoped"))
+        });
+        assert_eq!(other.join().unwrap(), (None, Some(Fault::DelayMs(1))));
+        assert_eq!(check("inj.test.scoped"), Some(Fault::Error));
+    }
+
+    /// Threads started through `inherit` share the arming thread's plans,
+    /// hit count included.
+    #[test]
+    fn inherited_threads_see_the_plan() {
+        let _armed = arm("inj.test.inherit", FaultPlan::nth(1, Fault::Error));
+        assert_eq!(check("inj.test.inherit"), None);
+        let child = std::thread::spawn(inherit(|| check("inj.test.inherit")));
+        assert_eq!(child.join().unwrap(), Some(Fault::Error));
+        assert_eq!(check("inj.test.inherit"), None, "nth plans trigger once across threads");
     }
 }

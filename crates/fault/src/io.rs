@@ -112,7 +112,7 @@ fn sync_parent_dir(path: &Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inject::{arm, disarm, FaultPlan};
+    use crate::inject::{arm, FaultPlan};
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("v2v_fault_io_{}_{name}", std::process::id()));
@@ -169,9 +169,9 @@ mod tests {
         let path = dir.join("d.bin");
         write_atomic(&path, b"original-content").unwrap();
 
-        arm("atomic.write", FaultPlan::always(crate::Fault::ShortWrite(4)));
+        let armed = arm("atomic.write", FaultPlan::always(crate::Fault::ShortWrite(4)));
         let err = write_atomic(&path, b"replacement-content").unwrap_err();
-        disarm("atomic.write");
+        drop(armed);
         assert!(err.to_string().contains("atomic.write"), "{err}");
         assert_eq!(
             std::fs::read(&path).unwrap(),
@@ -186,9 +186,9 @@ mod tests {
         let dir = scratch("rename");
         let path = dir.join("e.bin");
         write_atomic(&path, b"old").unwrap();
-        arm("atomic.rename", FaultPlan::always(crate::Fault::Error));
+        let armed = arm("atomic.rename", FaultPlan::always(crate::Fault::Error));
         assert!(write_atomic(&path, b"new").is_err());
-        disarm("atomic.rename");
+        drop(armed);
         assert_eq!(std::fs::read(&path).unwrap(), b"old");
         std::fs::remove_dir_all(&dir).unwrap();
     }

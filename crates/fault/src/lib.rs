@@ -14,8 +14,9 @@
 //!   named fault points (`"atomic.write"`, `"atomic.rename"`, …) can be
 //!   armed with plans (fail the Nth hit, truncate a write, delay) so
 //!   integration tests can prove the crash-safety claims above instead of
-//!   asserting them. Compiled to a zero-cost stub unless the `inject`
-//!   feature is on (test builds enable it via dev-dependencies).
+//!   asserting them. A plan is scoped to the test that armed it.
+//!   Compiled to a zero-cost stub unless the `inject` feature is on
+//!   (test builds enable it via dev-dependencies).
 //!
 //! ```
 //! let dir = std::env::temp_dir().join(format!("v2v_fault_doc_{}", std::process::id()));
@@ -30,5 +31,5 @@
 pub mod inject;
 pub mod io;
 
-pub use inject::{arm, disarm_all, Fault, FaultPlan};
+pub use inject::{arm, inherit, Armed, Fault, FaultPlan};
 pub use io::{write_atomic, write_atomic_with};

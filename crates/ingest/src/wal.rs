@@ -594,11 +594,7 @@ fn write_manifest(dir: &Path, sealed: &[Segment]) -> Result<(), WalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
     use v2v_fault::FaultPlan;
-
-    /// Fault points are process-global; tests that arm one serialize here.
-    static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("v2v_wal_{}_{name}", std::process::id()));
@@ -767,7 +763,6 @@ mod tests {
 
     #[test]
     fn injected_short_write_rolls_back_and_retry_is_bit_identical() {
-        let _guard = FAULT_LOCK.lock().unwrap();
         let dir = scratch("short");
         let reference = scratch("short_ref");
 
@@ -778,9 +773,9 @@ mod tests {
 
         let mut wal = Wal::open(&dir).unwrap();
         wal.append_batch(&edges(3, 0)).unwrap();
-        v2v_fault::arm("ingest.wal.append", FaultPlan::always(Fault::ShortWrite(20)));
+        let armed = v2v_fault::arm("ingest.wal.append", FaultPlan::always(Fault::ShortWrite(20)));
         let err = wal.append_batch(&edges(2, 50)).unwrap_err();
-        v2v_fault::inject::disarm("ingest.wal.append");
+        drop(armed);
         assert!(err.to_string().contains("ingest.wal.append"), "{err}");
         assert_eq!(wal.next_seq(), 4, "failed batch must not consume seqs");
 
@@ -797,14 +792,14 @@ mod tests {
 
     #[test]
     fn injected_short_write_then_crash_recovers_every_acked_record() {
-        let _guard = FAULT_LOCK.lock().unwrap();
         let dir = scratch("short_crash");
         {
             let mut wal = Wal::open(&dir).unwrap();
             wal.append_batch(&edges(3, 0)).unwrap(); // ACKed
-            v2v_fault::arm("ingest.wal.append", FaultPlan::always(Fault::ShortWrite(30)));
+            let armed =
+                v2v_fault::arm("ingest.wal.append", FaultPlan::always(Fault::ShortWrite(30)));
             let _ = wal.append_batch(&edges(2, 50)); // never ACKed
-            v2v_fault::inject::disarm("ingest.wal.append");
+            drop(armed);
             // "Crash" here: drop without further writes. The rollback
             // truncated the torn prefix, but even if it had not, open()
             // would — simulate that harder case by re-tearing the file.
@@ -822,18 +817,17 @@ mod tests {
 
     #[test]
     fn injected_fsync_error_fails_the_batch_without_acking() {
-        let _guard = FAULT_LOCK.lock().unwrap();
         let dir = scratch("fsync");
         let mut wal = Wal::open(&dir).unwrap();
         wal.append_batch(&edges(2, 0)).unwrap();
-        v2v_fault::arm("ingest.wal.fsync", FaultPlan::always(Fault::Error));
+        let armed = v2v_fault::arm("ingest.wal.fsync", FaultPlan::always(Fault::Error));
         assert!(wal.append_batch(&edges(1, 9)).is_err());
-        v2v_fault::inject::disarm("ingest.wal.fsync");
+        drop(armed);
         assert_eq!(wal.read_all().unwrap().len(), 2);
         // Delay faults stall but succeed.
-        v2v_fault::arm("ingest.wal.fsync", FaultPlan::always(Fault::DelayMs(1)));
+        let armed = v2v_fault::arm("ingest.wal.fsync", FaultPlan::always(Fault::DelayMs(1)));
         assert!(wal.append_batch(&edges(1, 9)).is_ok());
-        v2v_fault::inject::disarm("ingest.wal.fsync");
+        drop(armed);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

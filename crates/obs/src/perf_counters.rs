@@ -329,9 +329,10 @@ mod tests {
 
     #[test]
     fn injected_denial_degrades_to_stub() {
-        v2v_fault::arm("obs.perf_open", v2v_fault::FaultPlan::always(v2v_fault::Fault::Error));
+        let armed =
+            v2v_fault::arm("obs.perf_open", v2v_fault::FaultPlan::always(v2v_fault::Fault::Error));
         let c = ThreadCounters::open();
-        v2v_fault::inject::disarm("obs.perf_open");
+        drop(armed);
         assert!(!c.available());
         assert!(c.why_unavailable().unwrap().contains("obs.perf_open"));
         c.start();

@@ -272,13 +272,12 @@ impl ServeState {
         // memory its code table costs — one-hot so dashboards can label
         // latency series without string-valued metrics.
         let quantize = index.config().quantize;
-        for m in [QuantMode::Off, QuantMode::Int8, QuantMode::F16] {
+        for m in [QuantMode::Off, QuantMode::Int8] {
             metrics
                 .gauge(&format!("serve.quantize.{}", m.name()))
                 .set(f64::from(m == quantize));
         }
         metrics.gauge("serve.quantize.table_bytes").set(index.quant_bytes() as f64);
-        metrics.gauge("serve.index.shards").set(index.shard_count() as f64);
         v2v_obs::record_event(v2v_obs::Event::new(
             "index",
             "",
@@ -521,7 +520,7 @@ fn healthz(state: &ServeState) -> Response {
     let mut body = String::from("{\"status\": \"ok\"");
     let _ = write!(
         body,
-        ", \"vectors\": {}, \"dimensions\": {}, \"index\": \"{}\", \"index_source\": \"{}\", \"backing\": \"{}\", \"degraded\": {}, \"metric\": \"{}\", \"ef_search\": {}, \"quantize\": \"{}\", \"shards\": {}, \"labels\": {}}}",
+        ", \"vectors\": {}, \"dimensions\": {}, \"index\": \"{}\", \"index_source\": \"{}\", \"backing\": \"{}\", \"degraded\": {}, \"metric\": \"{}\", \"ef_search\": {}, \"quantize\": \"{}\", \"labels\": {}}}",
         state.vectors.len(),
         state.vectors.dimensions(),
         if state.index.is_graph() { "hnsw" } else { "exact" },
@@ -531,7 +530,6 @@ fn healthz(state: &ServeState) -> Response {
         state.index.config().metric.name(),
         state.index.config().ef_search,
         state.index.config().quantize.name(),
-        state.index.shard_count(),
         state.labels.is_some(),
     );
     Response::json(200, body)
@@ -1143,10 +1141,48 @@ mod tests {
         assert_eq!(get(&state, "/metricz?format=xml").status, 400);
     }
 
+    /// The version-2 sharded snapshot container that earlier releases
+    /// wrote for a two-shard index: a header whose build fingerprint folds
+    /// the shard count 2, each half's version-1 snapshot length-prefixed,
+    /// and a checksum over everything.
+    fn legacy_sharded_snapshot(dims: usize, data: &[f32], config: &HnswConfig, fp: u64) -> Vec<u8> {
+        use v2v_store::hash::{fnv1a64, FNV_OFFSET};
+        let n = data.len() / dims;
+        let metric_tag = u64::from(config.metric == crate::hnsw::Metric::Euclidean);
+        let mut build_fp = FNV_OFFSET;
+        for word in [
+            config.m as u64,
+            config.ef_construction as u64,
+            metric_tag,
+            config.seed,
+            config.brute_force_threshold as u64,
+            dims as u64,
+            2,
+        ] {
+            build_fp = fnv1a64(build_fp, &word.to_le_bytes());
+        }
+        let mut out = b"V2VH".to_vec();
+        out.extend_from_slice(&2u32.to_le_bytes());
+        out.extend_from_slice(&build_fp.to_le_bytes());
+        out.extend_from_slice(&fp.to_le_bytes());
+        out.extend_from_slice(&(n as u64).to_le_bytes());
+        out.extend_from_slice(&2u32.to_le_bytes());
+        let (first, second) = data.split_at(n.div_ceil(2) * dims);
+        for rows in [first, second] {
+            let blob = HnswIndex::build(dims, rows.to_vec(), config.clone()).snapshot(fp);
+            out.extend_from_slice(&(blob.len() as u64).to_le_bytes());
+            out.extend_from_slice(&blob);
+        }
+        let sum = fnv1a64(FNV_OFFSET, &out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
+    }
+
     /// Serving from a V2VE v2 store: a persisted snapshot loads (reported
     /// as `index_source: snapshot` in /healthz) and answers every
     /// /neighbors query byte-identically to a from-scratch rebuild over
-    /// the same store.
+    /// the same store. A sharded snapshot from an earlier release is
+    /// refused and rebuilt instead.
     #[test]
     fn from_store_snapshot_matches_rebuild() {
         let dir = std::env::temp_dir().join(format!("v2v_api_store_{}", std::process::id()));
@@ -1182,9 +1218,13 @@ mod tests {
         assert_eq!(from_snap.index_source(), "snapshot");
         assert!(!from_snap.degraded());
 
-        let rebuilt =
-            ServeState::from_store(EmbeddingStore::open(&path).unwrap(), config, None, false)
-                .unwrap();
+        let rebuilt = ServeState::from_store(
+            EmbeddingStore::open(&path).unwrap(),
+            config.clone(),
+            None,
+            false,
+        )
+        .unwrap();
         assert_eq!(rebuilt.index_source(), "rebuilt");
 
         for v in [0usize, 17, 599] {
@@ -1200,6 +1240,18 @@ mod tests {
         assert_eq!(doc.get("index").unwrap().as_str(), Some("hnsw"));
         let backing = doc.get("backing").unwrap().as_str().unwrap().to_string();
         assert!(backing == "mmap" || backing == "heap", "{backing}");
+
+        let legacy = legacy_sharded_snapshot(dims, &data, &config, fp);
+        v2v_store::write_store(&path, dims, &data, 64, Some(&legacy)).unwrap();
+        let refused =
+            ServeState::from_store(EmbeddingStore::open(&path).unwrap(), config, None, true)
+                .unwrap();
+        assert_eq!(refused.index_source(), "rebuilt", "a sharded snapshot must not load");
+        for v in [0usize, 17, 599] {
+            let a = get(&refused, &format!("/neighbors?v={v}&k=10"));
+            let b = get(&rebuilt, &format!("/neighbors?v={v}&k=10"));
+            assert_eq!(a.body, b.body, "refused snapshot must serve the rebuild (v={v})");
+        }
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -281,7 +281,7 @@ impl Server {
                 let handler = self.handler.clone();
                 let config = self.config.clone();
                 let stopping = stopping.clone();
-                std::thread::spawn(move || loop {
+                std::thread::spawn(v2v_fault::inherit(move || loop {
                     let stream = {
                         let mut guard = queue.jobs.lock().unwrap();
                         loop {
@@ -298,7 +298,7 @@ impl Server {
                         Some(stream) => handle_connection(stream, &handler, &config, &stopping),
                         None => return,
                     }
-                })
+                }))
             })
             .collect();
 

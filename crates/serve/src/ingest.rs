@@ -622,10 +622,10 @@ pub fn start(
         let ingest = ingest.clone();
         std::thread::Builder::new()
             .name("v2v-ingest-refresh".to_string())
-            .spawn(move || {
+            .spawn(v2v_fault::inherit(move || {
                 deprioritize_current_thread();
                 worker_loop(&ingest, &handle, engine, lineage)
-            })
+            }))
             .map_err(|e| format!("cannot spawn refresh worker: {e}"))?
     };
     Ok((ingest, worker))

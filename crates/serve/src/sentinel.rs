@@ -323,7 +323,7 @@ pub fn start(
     let loop_state = Arc::clone(&quality_state);
     let probe_loop = std::thread::Builder::new()
         .name("v2v-quality-sentinel".into())
-        .spawn(move || {
+        .spawn(v2v_fault::inherit(move || {
             crate::ingest::deprioritize_current_thread();
             loop {
                 {
@@ -338,7 +338,7 @@ pub fn start(
                 }
                 loop_state.probe(&handle.state());
             }
-        })
+        }))
         .map_err(|e| format!("quality sentinel: cannot spawn probe thread: {e}"))?;
     Ok((quality_state, probe_loop))
 }

@@ -369,14 +369,12 @@ fn reload_without_a_source_is_rejected_and_failed_reload_keeps_old_state() {
 
 #[test]
 fn injected_index_validation_failure_degrades_to_exact_scan() {
-    // Process-global fault registry: this is the only test in this binary
-    // that arms a point, and it disarms before asserting server behavior.
-    v2v_fault::inject::arm(
+    let armed = v2v_fault::inject::arm(
         "serve.index.validate",
         v2v_fault::inject::FaultPlan::always(v2v_fault::inject::Fault::Error),
     );
     let state = ServeState::new(test_embedding(40), HnswConfig::default(), None).unwrap();
-    v2v_fault::inject::disarm("serve.index.validate");
+    drop(armed);
     assert!(state.degraded(), "validation failure must degrade, not abort");
     assert!(!state.index().is_graph(), "degraded state must use the exact scan");
 

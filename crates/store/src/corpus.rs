@@ -456,7 +456,7 @@ impl WalkSource for ShardedCorpus {
         let s0 = self.start.partition_point(|&s| s <= range.start) - 1;
         std::thread::scope(|scope| {
             let (tx, rx) = sync_channel::<Result<(usize, LoadedShard), StoreError>>(1);
-            scope.spawn(move || {
+            scope.spawn(v2v_fault::inherit(move || {
                 for s in s0..self.shards.len() {
                     if self.start[s] >= end {
                         break;
@@ -467,7 +467,7 @@ impl WalkSource for ShardedCorpus {
                         break;
                     }
                 }
-            });
+            }));
             for item in rx {
                 let (s, shard) =
                     item.unwrap_or_else(|e| panic!("walk corpus failed mid-stream: {e}"));

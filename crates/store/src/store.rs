@@ -565,8 +565,8 @@ mod tests {
         dir
     }
 
-    /// Fault points and `V2V_NO_MMAP` are process-global; tests that rely
-    /// on (or suppress) the mapped path must not overlap.
+    /// `V2V_NO_MMAP` is process-global; tests that rely on (or suppress)
+    /// the mapped path must not overlap.
     fn backend_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -584,9 +584,9 @@ mod tests {
         let data = sample(100, 7);
         let fp = write_store(&path, 7, &data, 16, None).unwrap();
         for forced_heap in [false, true] {
-            if forced_heap {
-                v2v_fault::arm("store.mmap", v2v_fault::FaultPlan::always(v2v_fault::Fault::Error));
-            }
+            let _armed = forced_heap.then(|| {
+                v2v_fault::arm("store.mmap", v2v_fault::FaultPlan::always(v2v_fault::Fault::Error))
+            });
             let s = EmbeddingStore::open(&path).unwrap();
             assert_eq!(s.is_mapped(), !forced_heap && Mmap::supported());
             assert_eq!((s.len(), s.dims()), (100, 7));
@@ -597,7 +597,6 @@ mod tests {
             assert_eq!(s.payload().unwrap(), &data[..]);
             assert!(s.index_section().is_none());
             assert!(s.vector(100).is_err());
-            v2v_fault::disarm_all();
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -662,9 +661,10 @@ mod tests {
         assert!(err.to_string().contains("shard 2"), "{err}");
         assert!(s.verify_all().is_err());
         // Heap open verifies eagerly and refuses outright.
-        v2v_fault::arm("store.mmap", v2v_fault::FaultPlan::always(v2v_fault::Fault::Error));
+        let armed =
+            v2v_fault::arm("store.mmap", v2v_fault::FaultPlan::always(v2v_fault::Fault::Error));
         assert!(EmbeddingStore::open(&path).is_err());
-        v2v_fault::disarm_all();
+        drop(armed);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -10,19 +10,11 @@
 
 use proptest::prelude::*;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use v2v_graph::VertexId;
 use v2v_store::{
     default_shard_rows, write_store, CorpusShardWriter, EmbeddingStore, ShardWriterConfig,
     ShardedCorpus,
 };
-
-/// Serializes tests that touch the process-global fault registry (or
-/// write through code that consults it while another test arms it).
-fn global_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default).lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn scratch(name: &str, case: u64) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -58,7 +50,6 @@ proptest! {
         shard_rows in 1usize..9,
         seed in any::<u64>(),
     ) {
-        let _g = global_lock();
         let dir = scratch("rt", seed);
         let path = dir.join("e.v2s");
         let data = payload(count, dims, seed);
@@ -99,7 +90,6 @@ proptest! {
         shard_rows in 1usize..5,
         seed in any::<u64>(),
     ) {
-        let _g = global_lock();
         let dir = scratch("corrupt", seed);
         let path = dir.join("e.v2s");
         let data = payload(count, dims, seed);
@@ -147,9 +137,8 @@ proptest! {
         short in 0usize..64,
         seed in any::<u64>(),
     ) {
-        let _g = global_lock();
         let dir = scratch("torn", seed ^ nth);
-        v2v_fault::arm(
+        let armed = v2v_fault::arm(
             "atomic.write",
             v2v_fault::FaultPlan::nth(nth, v2v_fault::Fault::ShortWrite(short)),
         );
@@ -171,7 +160,7 @@ proptest! {
             }
             w.finish()
         })();
-        v2v_fault::disarm_all();
+        drop(armed);
 
         match result {
             Ok((total_walks, _tokens)) => {
